@@ -4,22 +4,17 @@ Not a paper figure — engineering telemetry for the reproduction: the
 cost of events, task switches, and channel operations bounds how large
 a NAS configuration the harness can simulate per wall-second.
 
-The unparametrized benchmarks run the *default* scheduler (the
-calendar queue) and are what the two-sided regression guard ratchets
-against ``BENCH_simulator.json``.  The ``[heap]``/``[calendar]``
-variants pin both schedulers individually so the guard's history
-records per-scheduler numbers and the heap reference can never rot
-unmeasured.  ``min_rounds=30`` keeps each bench's per-round minimum —
-the statistic the guard ratchets on — well sampled under ambient load.
+The two-sided regression guard ratchets every benchmark here against
+``BENCH_simulator.json``.  ``min_rounds=30`` keeps each bench's
+per-round minimum — the statistic the guard ratchets on — well sampled
+under ambient load.
 """
 
 import pytest
 
-from repro.simulator import SCHEDULER_KINDS, Channel, Semaphore, Simulator
+from repro.simulator import Channel, Semaphore, Simulator
 
 N = 20_000
-
-SCHEDULERS = sorted(SCHEDULER_KINDS)
 
 
 @pytest.mark.benchmark(group="simulator", min_rounds=30)
@@ -53,27 +48,11 @@ def test_task_switch_throughput(benchmark):
 
 
 @pytest.mark.benchmark(group="simulator", min_rounds=30)
-@pytest.mark.parametrize("sched", SCHEDULERS)
-def test_event_queue_throughput_per_scheduler(benchmark, sched):
-    """The event-heap benchmark, pinned to one scheduler kind."""
+def test_same_time_flood_throughput(benchmark):
+    """Dense ties: N pre-scheduled events over N/200 timestamps
+    (collective fan-out shape)."""
     def run():
-        sim = Simulator(scheduler=sched)
-        count = [0]
-        for i in range(N):
-            sim.schedule(i * 1e-9, lambda: count.__setitem__(0, count[0] + 1))
-        sim.run()
-        return count[0]
-
-    assert benchmark(run) == N
-
-
-@pytest.mark.benchmark(group="simulator", min_rounds=30)
-@pytest.mark.parametrize("sched", SCHEDULERS)
-def test_same_time_flood_throughput(benchmark, sched):
-    """Dense ties: N events over N/200 timestamps (collective fan-out
-    shape) — the workload the calendar queue's batch drain targets."""
-    def run():
-        sim = Simulator(scheduler=sched)
+        sim = Simulator()
         count = [0]
         bump = lambda: count.__setitem__(0, count[0] + 1)  # noqa: E731
         for i in range(N):
@@ -142,26 +121,18 @@ def _message_rate_program(comm):
         return out
 
 
-def _message_rate(trace=None, scheduler=None):
+def _message_rate(trace=None):
     from repro import config
     from repro.runtime import run_mpi
 
     return run_mpi(_message_rate_program, 2, config.mpich2_nmad(),
-                   cluster=config.xeon_pair(), trace=trace,
-                   scheduler=scheduler).result(1)
+                   cluster=config.xeon_pair(), trace=trace).result(1)
 
 
 @pytest.mark.benchmark(group="simulator", min_rounds=30)
 def test_full_stack_message_rate(benchmark):
     """End-to-end: messages/second through the complete nmad stack."""
     assert benchmark(_message_rate) == N_MSG
-
-
-@pytest.mark.benchmark(group="simulator", min_rounds=30)
-@pytest.mark.parametrize("sched", SCHEDULERS)
-def test_full_stack_message_rate_per_scheduler(benchmark, sched):
-    """The end-to-end benchmark, pinned to one scheduler kind."""
-    assert benchmark(lambda: _message_rate(scheduler=sched)) == N_MSG
 
 
 @pytest.mark.benchmark(group="simulator", min_rounds=30)

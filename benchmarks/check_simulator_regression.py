@@ -22,11 +22,6 @@ ratios; ``repro perf`` renders the trajectory.  Timestamps come from
 pytest-benchmark's own metadata, so the guard itself never reads the
 wall clock.
 
-Benchmarks parametrized by scheduler kind (``foo[heap]`` /
-``foo[calendar]``) additionally feed a ``per_scheduler`` section in
-the history line, and the guard prints the head-to-head speedup for
-every such pair so per-scheduler numbers are recorded run over run.
-
 Usage::
 
     pytest benchmarks/bench_simulator.py --benchmark-only \
@@ -42,27 +37,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import shutil
 import sys
 from typing import Any, Dict, Optional, Tuple
 
 DEFAULT_HISTORY = os.path.join(os.path.dirname(__file__),
                                "bench_history.jsonl")
-
-#: scheduler-kind parametrization suffix, e.g. ``foo[calendar]``
-_SCHED_PARAM = re.compile(r"^(?P<base>.+)\[(?P<kind>heap|calendar)\]$")
-
-
-def _per_scheduler(mins: Dict[str, float]) -> Dict[str, Dict[str, float]]:
-    """kind -> {base benchmark name -> min seconds}."""
-    out: Dict[str, Dict[str, float]] = {}
-    for name, timing in mins.items():
-        match = _SCHED_PARAM.match(name)
-        if match:
-            out.setdefault(match.group("kind"), {})[match.group("base")] = timing
-    return out
-
 
 def _load(path: str) -> Tuple[Dict[str, float], Dict[str, Any]]:
     """benchmark fullname -> min seconds per round, plus run metadata."""
@@ -145,20 +125,6 @@ def main(argv: Optional[list] = None) -> int:
                          "ratio": None}
         print(f"  NEW {name.split('::')[-1]:44s} (no baseline)")
 
-    per_sched = _per_scheduler(cur_mins)
-    if len(per_sched) > 1:
-        kinds = sorted(per_sched)
-        shared = sorted(set.intersection(*(set(per_sched[k])
-                                           for k in kinds)))
-        print("\nper-scheduler head-to-head (min seconds):")
-        for base in shared:
-            cells = "  ".join(f"{k}={per_sched[k][base]:.4g}s"
-                              for k in kinds)
-            ratio = per_sched["heap"][base] / per_sched["calendar"][base] \
-                if {"heap", "calendar"} <= set(kinds) else None
-            extra = f"  calendar {ratio:.2f}x vs heap" if ratio else ""
-            print(f"  {base.split('::')[-1]:44s} {cells}{extra}")
-
     if not args.no_history:
         _append_history(args.history, {
             "datetime": cur_meta.get("datetime"),
@@ -166,7 +132,6 @@ def main(argv: Optional[list] = None) -> int:
             "baseline": os.path.basename(args.baseline),
             "threshold": args.threshold,
             "benches": benches,
-            "per_scheduler": per_sched,
             "regressions": regressions,
             "improvements": improvements,
             "new": new_names,

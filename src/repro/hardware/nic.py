@@ -100,7 +100,7 @@ class NIC:
                 queued=start - self.sim.now,
             )
         done = self.sim.event()
-        self.sim.at(self._tx_free_at, done.succeed, frame)
+        self.sim._post_at(self._tx_free_at, done._succeed_last, frame)
         return done
 
     def post_control(self, frame: Frame) -> None:

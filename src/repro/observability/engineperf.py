@@ -1,7 +1,7 @@
 """Engine and process performance telemetry -> metrics registry.
 
 The simulator accumulates host-side run-loop counters (events
-dispatched, high-water heap length, wall seconds — see
+dispatched, high-water queue length, wall seconds — see
 :meth:`repro.simulator.engine.Simulator.perf_stats`); this module
 lands them in a :class:`~repro.observability.metrics.MetricsRegistry`
 under the ``engine.*`` / ``process.*`` names, next to the simulated
@@ -10,11 +10,9 @@ and "what it cost to simulate".
 
 Metrics fed:
 
-* ``engine.events`` — callbacks dispatched (counter)
+* ``engine.events`` — queue dispatches (counter)
 * ``engine.events_per_sec`` — dispatch throughput (gauge)
 * ``engine.queue_peak`` — high-water event-queue length (gauge)
-* ``engine.heap_peak`` — legacy alias of ``engine.queue_peak``, kept
-  for dashboards written before the queue became pluggable
 * ``engine.wall_seconds`` — host seconds inside ``run`` (counter)
 * ``process.peak_rss_kib`` — process high-water resident set (gauge)
 """
@@ -54,7 +52,6 @@ def record_engine_metrics(sim: Simulator,
     registry.counter("engine.events").inc(stats["events_executed"])
     registry.gauge("engine.events_per_sec").set(stats["events_per_sec"])
     registry.gauge("engine.queue_peak").set(stats["queue_peak"])
-    registry.gauge("engine.heap_peak").set(stats["queue_peak"])  # legacy
     registry.counter("engine.wall_seconds").inc(stats["wall_seconds"])
     registry.gauge("process.peak_rss_kib").set(stats["peak_rss_kib"])
     return stats

@@ -7,8 +7,8 @@ tasks running inside a :class:`~repro.simulator.engine.Simulator`.
 The design follows the classic coroutine DES shape (SimPy-like, but
 self-contained and deterministic):
 
-* :class:`~repro.simulator.engine.Simulator` owns the event heap and the
-  clock.
+* :class:`~repro.simulator.engine.Simulator` owns the event queue (a
+  heap plus a zero-delay ready lane) and the clock.
 * :class:`~repro.simulator.events.Event` is the one-shot synchronization
   primitive; tasks yield events to wait for them.
 * :class:`~repro.simulator.process.Task` drives a generator coroutine; a
@@ -23,9 +23,6 @@ streams seeded explicitly.
 """
 
 from repro.simulator.engine import Simulator, ScheduledCallback
-from repro.simulator.schedulers import (EventScheduler, HeapScheduler,
-                                        CalendarScheduler, SCHEDULER_ENV,
-                                        SCHEDULER_KINDS, make_scheduler)
 from repro.simulator.events import Event, AllOf, AnyOf
 from repro.simulator.process import Task
 from repro.simulator.resources import Semaphore, Mutex, Channel
@@ -38,12 +35,6 @@ from repro.simulator.rng import rng_stream
 __all__ = [
     "Simulator",
     "ScheduledCallback",
-    "EventScheduler",
-    "HeapScheduler",
-    "CalendarScheduler",
-    "SCHEDULER_ENV",
-    "SCHEDULER_KINDS",
-    "make_scheduler",
     "Event",
     "AllOf",
     "AnyOf",

@@ -1,54 +1,67 @@
 """The simulation event loop.
 
-Time is a ``float`` in **seconds**.  The engine keeps pending work in a
-pluggable :class:`~repro.simulator.schedulers.EventScheduler` ordered by
-``(time, seq)``; ``seq`` is a global monotonically increasing counter so
-that callbacks scheduled for the same instant run in FIFO order, which
-makes every simulation fully deterministic.
+Time is a ``float`` in **seconds**.  Pending work is dispatched in
+``(time, seq)`` order; ``seq`` is a global monotonically increasing
+counter, so callbacks scheduled for the same instant run in FIFO order,
+which makes every simulation fully deterministic.
 
-Two kinds of entries coexist in the queue:
+The queue is two structures merged by that key:
+
+* a binary heap (``heapq``) of every cancellable handle and every
+  entry posted with a non-zero delay or an absolute time;
+* the *ready lane*, a FIFO of the zero-delay :meth:`Simulator._post`
+  entries (event wake-ups, task starts).  They all carry the current
+  time and increasing seqs, so appending keeps the lane sorted and a
+  post costs no heap sift.
+
+The run loop takes the lane head unless the heap top sorts before it
+(an entry at the same instant with a smaller seq), so the dispatch
+order is exactly the order one heap holding every entry would give.
+
+Entries come in two shapes:
 
 * ``(time, seq, handle)`` — cancellable, created by :meth:`Simulator.at`
   / :meth:`Simulator.schedule`, which return the
   :class:`ScheduledCallback` handle;
 * ``(time, seq, fn, args)`` — slim non-cancellable entries created by
-  the internal :meth:`Simulator._post` fast path (event dispatch, task
-  start, timeouts).  They carry no handle object, which keeps the
-  hottest scheduling operations allocation-light.
+  the internal :meth:`Simulator._post` / :meth:`Simulator._post_at`
+  fast paths (event dispatch, task start, timeouts, NIC completions).
+  They carry no handle object, which keeps the hottest scheduling
+  operations allocation-light.
 
 ``seq`` is unique, so entry comparisons never reach the third element of
 either tuple shape.
 
-Scheduler selection: ``Simulator(scheduler=...)`` takes ``"calendar"``
-(the default — a bucketed calendar queue draining whole same-timestamp
-batches per dispatch loop), ``"heap"`` (the reference binary heap), or
-a ready :class:`~repro.simulator.schedulers.EventScheduler` instance.
-``scheduler=None`` consults the ``REPRO_SCHEDULER`` environment knob.
-Both structures yield bit-identical execution orders — the differential
-harness in ``tests/simulator/`` enforces it — so results, traces and
-race reports never depend on the choice; only throughput does.
+In-place wake: an event triggered as the *last action* of a dispatched
+entry (see :meth:`repro.simulator.events.Event._succeed_last`) calls its
+sole waiter directly when no monitor is installed and nothing else is
+pending at the current instant.  Queued, that waiter would have been the
+very next entry dispatched, so the order is unchanged; only the queue
+trip is saved.  :attr:`Simulator.events_executed` counts queue
+dispatches and so excludes these wakes.
 
 Cancellation is O(1) lazy deletion: the handle is flagged and skipped
 when dispatched.  Long-lived simulations that cancel many far-future
 timers (e.g. per-frame retransmission timeouts) would otherwise
-accumulate dead entries, so the engine compacts the queue in one
+accumulate dead entries, so the engine compacts the heap in one
 batched pass when cancelled entries outnumber live ones.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from collections import deque
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 from repro.simulator.errors import DeadlockError, SimulationError
 from repro.simulator.events import Event
 from repro.simulator.hostclock import host_clock
-from repro.simulator.schedulers import EventScheduler, make_scheduler
 from repro.simulator.tracing import Trace
 
 __all__ = ["ScheduledCallback", "Simulator"]
 
 #: queue entries are (time, seq, handle) or (time, seq, fn, args)
-_HeapEntry = Tuple[Any, ...]
+_Entry = Tuple[Any, ...]
 
 #: start compacting only past this many cancelled entries (tiny queues
 #: are cheaper to drain lazily than to rebuild)
@@ -61,12 +74,14 @@ class ScheduledCallback:
     Supports :meth:`cancel`, which is O(1): the entry is flagged and the
     event loop skips it when dispatched (lazy deletion).  The owning
     simulator batches a compaction pass when flagged entries pile up.
+    Dispatch marks the handle spent (``sim`` becomes None), so cancelling
+    a callback that already ran is a no-op.
     """
 
     __slots__ = ("sim", "time", "fn", "args", "cancelled", "origin")
 
     def __init__(self, sim: "Simulator", time: float, fn: Callable, args: tuple):
-        self.sim = sim
+        self.sim: Optional["Simulator"] = sim
         self.time = time
         self.fn = fn
         self.args = args
@@ -76,20 +91,14 @@ class ScheduledCallback:
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
-        if self.cancelled:
+        sim = self.sim
+        if self.cancelled or sim is None:
             return
         self.cancelled = True
-        sim = self.sim
         sim._cancelled += 1
         if (sim._cancelled >= _COMPACT_MIN_CANCELLED
-                and sim._cancelled * 2 >= len(sim._sched)):
+                and sim._cancelled * 2 >= len(sim._heap)):
             sim._compact()
-
-
-def _entry_is_cancelled(entry: _HeapEntry) -> bool:
-    """Compaction predicate: a flagged cancellable handle entry."""
-    item = entry[2]
-    return type(item) is ScheduledCallback and item.cancelled
 
 
 class _NullRegion:
@@ -116,11 +125,6 @@ class Simulator:
         Optional :class:`~repro.simulator.tracing.Trace` recorder.  When
         provided, subsystems emit structured trace records through
         :meth:`record`.
-    scheduler:
-        Event-queue structure: ``"calendar"`` (default), ``"heap"``, or
-        an :class:`~repro.simulator.schedulers.EventScheduler` instance.
-        ``None`` consults the ``REPRO_SCHEDULER`` environment variable.
-        The choice affects throughput only, never results.
 
     Example
     -------
@@ -135,10 +139,10 @@ class Simulator:
     'done'
     """
 
-    def __init__(self, trace: Optional[Trace] = None,
-                 scheduler: Union[EventScheduler, str, None] = None):
-        self._sched: EventScheduler = make_scheduler(scheduler)
-        self._push = self._sched.push
+    def __init__(self, trace: Optional[Trace] = None):
+        self._heap: List[_Entry] = []
+        #: zero-delay slim entries, all at ``_now``, in seq order
+        self._ready: Deque[_Entry] = deque()
         self._seq = 0
         self._now = 0.0
         self._cancelled = 0          # cancelled handles still queued
@@ -151,8 +155,8 @@ class Simulator:
         self.tracing = False
         self.trace = trace
         #: perf telemetry (host-side, never fed back into simulation):
-        #: callbacks dispatched, high-water queue length, dispatch
-        #: batches, wall seconds inside :meth:`run` — see :meth:`perf_stats`
+        #: queue dispatches, high-water queue length, dispatched
+        #: instants, wall seconds inside :meth:`run` — see :meth:`perf_stats`
         self.events_executed = 0
         self.queue_peak = 0
         self.batches_executed = 0
@@ -170,22 +174,11 @@ class Simulator:
         """Current simulation time in seconds."""
         return self._now
 
-    @property
-    def heap_peak(self) -> int:
-        """Deprecated alias of :attr:`queue_peak` (pre-scheduler name)."""
-        return self.queue_peak
-
     def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledCallback:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
-        handle = ScheduledCallback(self, time, fn, args)
-        if self.monitor is not None:
-            self.monitor.on_schedule(handle)
-        self._seq += 1
-        self._push((time, self._seq, handle))
-        return handle
+        return self._push_handle(self._now + delay, fn, args)
 
     def at(self, time: float, fn: Callable, *args: Any) -> ScheduledCallback:
         """Run ``fn(*args)`` at absolute simulated ``time``."""
@@ -193,18 +186,23 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past (now={self._now!r}, time={time!r})"
             )
+        return self._push_handle(time, fn, args)
+
+    def _push_handle(self, time: float, fn: Callable,
+                     args: tuple) -> ScheduledCallback:
         handle = ScheduledCallback(self, time, fn, args)
         if self.monitor is not None:
             self.monitor.on_schedule(handle)
         self._seq += 1
-        self._push((time, self._seq, handle))
+        heappush(self._heap, (time, self._seq, handle))
         return handle
 
     def _post(self, delay: float, fn: Callable, *args: Any) -> None:
         """Internal non-cancellable scheduling fast path.
 
-        Pushes a slim ``(time, seq, fn, args)`` entry — no handle
-        object.  Used by the hottest call sites (event dispatch, task
+        Queues a slim ``(time, seq, fn, args)`` entry — no handle
+        object — on the ready lane when ``delay`` is zero, on the heap
+        otherwise.  Used by the hottest call sites (event dispatch, task
         start, timeouts), which never cancel.  With a monitor installed
         it falls back to :meth:`at` so happens-before edges are kept.
         """
@@ -212,11 +210,29 @@ class Simulator:
             self.at(self._now + delay, fn, *args)
             return
         self._seq += 1
-        self._push((self._now + delay, self._seq, fn, args))
+        if delay:
+            heappush(self._heap, (self._now + delay, self._seq, fn, args))
+        else:
+            self._ready.append((self._now, self._seq, fn, args))
+
+    def _post_at(self, time: float, fn: Callable, *args: Any) -> None:
+        """:meth:`_post` at an absolute ``time`` (``time >= now``)."""
+        if self.monitor is not None:
+            self.at(time, fn, *args)
+            return
+        self._seq += 1
+        heappush(self._heap, (time, self._seq, fn, args))
 
     def _compact(self) -> None:
-        """Drop cancelled entries from the queue in one batched pass."""
-        self._sched.remove_if(_entry_is_cancelled)
+        """Drop cancelled entries from the heap in one batched pass.
+
+        In place: a running dispatch loop holds a reference to the list.
+        """
+        heap = self._heap
+        heap[:] = [entry for entry in heap
+                   if type(entry[2]) is not ScheduledCallback
+                   or not entry[2].cancelled]
+        heapify(heap)
         self._cancelled = 0
 
     # ------------------------------------------------------------------
@@ -231,7 +247,9 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         evt = Event(self)
-        self._post(delay, evt.succeed, value)
+        # the trigger is the whole dispatched entry: its sole waiter may
+        # be woken in place
+        self._post(delay, evt._succeed_last, value)
         return evt
 
     def all_of(self, events: Iterable["Event"]) -> "Event":
@@ -253,40 +271,47 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending callback.  Returns False when empty."""
-        sched = self._sched
-        while True:
-            pending = len(sched)
-            if pending == 0:
+    def _pop(self) -> _Entry:
+        """Remove and return the next entry in ``(time, seq)`` order.
+
+        The queue must be non-empty.
+        """
+        ready, heap = self._ready, self._heap
+        if ready and not (heap and heap[0] < ready[0]):
+            return ready.popleft()
+        return heappop(heap)
+
+    def _dispatch(self, entry: _Entry) -> bool:
+        """Run one popped entry; False if it was a cancelled handle."""
+        item = entry[2]
+        if type(item) is ScheduledCallback:
+            if item.cancelled:
+                self._cancelled -= 1
                 return False
-            if pending > self.queue_peak:
-                self.queue_peak = pending
-            entry = sched.pop()
-            assert entry is not None
-            item = entry[2]
-            if type(item) is ScheduledCallback:
-                if item.cancelled:
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
-                    continue
-                self._now = entry[0]
-                self.events_executed += 1
-                monitor = self.monitor
-                if monitor is None:
-                    item.fn(*item.args)
-                else:
-                    monitor.before_step(item)
-                    try:
-                        item.fn(*item.args)
-                    finally:
-                        monitor.after_step(item)
-                return True
-            # slim non-cancellable entry: (time, seq, fn, args)
+            item.sim = None                      # spent: cancel() no-ops
             self._now = entry[0]
             self.events_executed += 1
-            item(*entry[3])
+            monitor = self.monitor
+            if monitor is None:
+                item.fn(*item.args)
+            else:
+                monitor.before_step(item)
+                try:
+                    item.fn(*item.args)
+                finally:
+                    monitor.after_step(item)
             return True
+        self._now = entry[0]
+        self.events_executed += 1
+        item(*entry[3])
+        return True
+
+    def step(self) -> bool:
+        """Execute the next pending callback.  Returns False when empty."""
+        while self._ready or self._heap:
+            if self._dispatch(self._pop()):
+                return True
+        return False
 
     def run(self, until: Optional[float] = None,
             detect_deadlock: bool = False) -> float:
@@ -296,67 +321,31 @@ class Simulator:
         a :class:`DeadlockError` is raised if live tasks remain when the
         queue drains (tasks blocked on events nobody will trigger).
         """
-        sched = self._sched
         wall_start = host_clock()
         if until is None and self.monitor is None:
-            # hot path: drain whole same-timestamp batches per dispatch
-            # loop, so the clock write, the peak sample and the loop
-            # bookkeeping are paid once per *batch* of an event flood,
-            # not once per event.  Telemetry stays in locals and is
-            # flushed once on exit.  The queue peak is sampled between
-            # batches (documented in perf_stats).
-            pop_batch = sched.pop_batch
-            end_batch = sched.end_batch
-            qlen = sched.__len__
-            executed = 0
-            batches = 0
-            peak = self.queue_peak
             try:
-                while True:
-                    pending = qlen()
-                    if pending > peak:
-                        peak = pending
-                    batch = pop_batch()
-                    if batch is None:
-                        break
-                    batches += 1
-                    self._now = batch[0][0]
-                    done = 0
-                    try:
-                        # len() re-checked each lap: a zero-delay push
-                        # from inside the batch appends to it live
-                        while done < len(batch):
-                            entry = batch[done]
-                            done += 1
-                            item = entry[2]
-                            if type(item) is ScheduledCallback:
-                                if item.cancelled:
-                                    if self._cancelled > 0:
-                                        self._cancelled -= 1
-                                    continue
-                                executed += 1
-                                item.fn(*item.args)
-                            else:
-                                executed += 1
-                                item(*entry[3])
-                    finally:
-                        end_batch(batch, done)
+                self._drain()
             finally:
-                self.events_executed += executed
-                self.batches_executed += batches
-                self.queue_peak = peak
                 self.run_wall_seconds += host_clock() - wall_start
         else:
+            if until is not None and until < self._now:
+                raise SimulationError(
+                    f"cannot run backwards (now={self._now!r}, until={until!r})")
             try:
                 while True:
-                    time = sched.peek_time()
-                    if time is None:
+                    if self._ready:
+                        time = self._now
+                    elif self._heap:
+                        time = self._heap[0][0]
+                    else:
                         break
                     if until is not None and time > until:
                         self._now = until
                         self._raise_unobserved_failures()
                         return self._now
-                    self.step()
+                    # one entry per check: a skipped cancelled entry must
+                    # not let the next one past ``until``
+                    self._dispatch(self._pop())
             finally:
                 self.run_wall_seconds += host_clock() - wall_start
         self._raise_unobserved_failures()
@@ -366,6 +355,60 @@ class Simulator:
                 f"at t={self._now}"
             )
         return self._now
+
+    def _drain(self) -> None:
+        """The unmonitored run-to-completion loop (the hot path).
+
+        One outer lap per simulated instant: the clock write and the
+        queue-peak sample are paid once per instant, not per entry, and
+        telemetry stays in locals until exit.  The inner loop merges the
+        ready lane with the heap top by ``(time, seq)``.
+        """
+        heap = self._heap
+        ready = self._ready
+        popleft = ready.popleft
+        executed = 0
+        batches = 0
+        peak = self.queue_peak
+        try:
+            while True:
+                if ready:
+                    now = self._now
+                elif heap:
+                    now = self._now = heap[0][0]
+                else:
+                    break
+                batches += 1
+                pending = len(heap) + len(ready)
+                if pending > peak:
+                    peak = pending
+                while True:
+                    if ready:
+                        if not (heap and heap[0] < ready[0]):
+                            entry = popleft()
+                            executed += 1
+                            entry[2](*entry[3])
+                            continue
+                        entry = heappop(heap)
+                    elif heap and heap[0][0] <= now:
+                        entry = heappop(heap)
+                    else:
+                        break
+                    item = entry[2]
+                    if type(item) is ScheduledCallback:
+                        if item.cancelled:
+                            self._cancelled -= 1
+                            continue
+                        item.sim = None          # spent: cancel() no-ops
+                        executed += 1
+                        item.fn(*item.args)
+                    else:
+                        executed += 1
+                        item(*entry[3])
+        finally:
+            self.events_executed += executed
+            self.batches_executed += batches
+            self.queue_peak = peak
 
     def _raise_unobserved_failures(self) -> None:
         """Re-raise the first task failure that nobody joined on.
@@ -383,18 +426,17 @@ class Simulator:
     def perf_stats(self) -> dict:
         """Host-side run-loop telemetry, accumulated across ``run`` calls.
 
-        ``events_executed`` counts dispatched callbacks (cancelled
-        entries skipped at dispatch are not events), ``queue_peak`` is
-        the high-water pending-entry count (``heap_peak`` is kept as a
-        deprecated alias; on the batched fast path the peak is sampled
-        once per dispatch batch), ``batches_executed`` the number of
-        same-timestamp dispatch batches the fast path drained,
-        ``wall_seconds`` the host time spent inside :meth:`run`, and
-        ``events_per_sec`` their ratio.  ``scheduler`` names the active
-        event-queue structure and ``scheduler_stats`` carries its
-        structure-specific counters (bucket width, resizes, ... for the
-        calendar queue).  Wall time is the one host-dependent quantity
-        in the engine; it feeds telemetry only, never simulation.
+        ``events_executed`` counts queue dispatches (cancelled entries
+        skipped at dispatch are not events, and neither are in-place
+        wakes, which never enter the queue), ``queue_peak`` is the
+        high-water pending-entry count (heap plus ready lane, sampled
+        once per simulated instant on the run-to-completion loop),
+        ``batches_executed`` the number of distinct simulated instants
+        that loop dispatched, ``wall_seconds`` the host time spent
+        inside :meth:`run`, and ``events_per_sec`` their ratio.
+        ``scheduler`` names the event-queue structure (always
+        ``"heap"``).  Wall time is the one host-dependent quantity in
+        the engine; it feeds telemetry only, never simulation.
         """
         wall = self.run_wall_seconds
         executed = self.events_executed
@@ -402,13 +444,11 @@ class Simulator:
         return {
             "events_executed": float(executed),
             "queue_peak": float(self.queue_peak),
-            "heap_peak": float(self.queue_peak),     # deprecated alias
             "batches_executed": float(batches),
             "events_per_batch": (executed / batches if batches else 0.0),
             "wall_seconds": wall,
             "events_per_sec": (executed / wall if wall > 0 else 0.0),
-            "scheduler": self._sched.kind,
-            "scheduler_stats": self._sched.stats(),
+            "scheduler": "heap",
         }
 
     # ------------------------------------------------------------------

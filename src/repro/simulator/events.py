@@ -3,7 +3,9 @@
 An :class:`Event` has three states: pending, succeeded, failed.  Tasks
 ``yield`` an event to block until it triggers.  Triggering is *scheduled*
 (at the current time) rather than executed inline, so wake-up order is
-the deterministic FIFO order of the engine queue.
+the deterministic FIFO order of the engine queue.  The one exception is
+:meth:`Event._succeed_last`, whose in-place wake of a sole waiter is
+order-exact (see :mod:`repro.simulator.engine`).
 
 This module is on the engine's innermost dispatch path (every task
 switch triggers at least one event), so the hot methods trade a little
@@ -72,6 +74,35 @@ class Event:
                 post(0.0, fn, self)
         return self
 
+    def _succeed_last(self, value: Any = None) -> "Event":
+        """:meth:`succeed` for a trigger that ends its dispatched entry.
+
+        Only for call sites where nothing runs after the trigger within
+        the current queue entry (a timeout or NIC completion fired by
+        the queue, an ``AnyOf``/``AllOf`` completing from its child
+        callback).  If the event has exactly one waiter, no monitor is
+        installed, and nothing else is pending at the current instant
+        (ready lane empty, heap top strictly later), the queued waiter
+        would be the next entry dispatched: it is called directly
+        instead, with the same effect and order.
+        """
+        if self._state != _PENDING:
+            raise SimulationError("event already triggered")
+        self._state = _SUCCEEDED
+        self._value = value
+        callbacks, self._callbacks = self._callbacks, None
+        if callbacks:
+            sim = self.sim
+            if len(callbacks) == 1 and sim.monitor is None and not sim._ready:
+                heap = sim._heap
+                if not heap or heap[0][0] > sim._now:
+                    callbacks[0](self)
+                    return self
+            post = sim._post
+            for fn in callbacks:
+                post(0.0, fn, self)
+        return self
+
     def fail(self, exc: BaseException) -> "Event":
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
@@ -123,7 +154,7 @@ class AllOf(Event):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([e._value for e in self._children])
+            self._succeed_last([e._value for e in self._children])
 
 
 class AnyOf(Event):
@@ -145,4 +176,4 @@ class AnyOf(Event):
         if evt._state != _SUCCEEDED:
             self.fail(evt._value)
             return
-        self.succeed((index, evt._value))
+        self._succeed_last((index, evt._value))

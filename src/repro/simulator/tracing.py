@@ -190,7 +190,7 @@ class Trace:
         """Index of the first record where this trace differs from
         ``other``, or None when both streams are identical.
 
-        The differential scheduler harness uses this to report *where*
+        The differential harnesses use this to report *where*
         two runs diverged instead of dumping two full record lists.
         Length differences diverge at the shorter trace's end.
         """

@@ -2,9 +2,8 @@
 
 The refactor of ``repro.pioman.manager`` into ``repro.pioman.engines``
 is only safe because the reference engine is *provably* unchanged and
-the alternatives differ only where they are documented to.  Mirroring
-the scheduler harness (``tests/simulator/test_scheduler_differential``),
-this enforces, at three zoom levels:
+the alternatives differ only where they are documented to.  This
+enforces, at three zoom levels:
 
 * every experiment module pinned by a merged-mode golden produces
   byte-identical canonical JSON with ``REPRO_PROGRESS`` unset vs

@@ -7,9 +7,6 @@ race-free on both stack presets.  A seeded true positive routed
 *through* each engine's ltask path proves the detector still sees real
 races identically whichever engine carried the racy write: the engines
 may not hide a race behind their own queue handling.
-
-Mirrors PR 9's scheduler race-equivalence suite
-(``tests/simulator/test_scheduler_race_equivalence.py``).
 """
 
 from __future__ import annotations

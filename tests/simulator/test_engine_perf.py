@@ -2,7 +2,7 @@
 
 from repro.observability import (format_engine_stats, peak_rss_kib,
                                  record_engine_metrics)
-from repro.simulator import SCHEDULER_KINDS, Simulator
+from repro.simulator import Simulator
 
 
 def _burst(sim, n):
@@ -19,26 +19,22 @@ def test_perf_stats_count_events_and_queue_peak():
     stats = sim.perf_stats()
     assert stats["events_executed"] == 50
     assert stats["queue_peak"] == 50      # all scheduled before running
-    assert stats["heap_peak"] == 50       # legacy alias, kept in sync
-    assert sim.heap_peak == sim.queue_peak
     assert stats["wall_seconds"] >= 0.0
     assert stats["events_per_sec"] >= 0.0
 
 
 def test_perf_stats_name_the_scheduler():
-    for kind in sorted(SCHEDULER_KINDS):
-        sim = Simulator(scheduler=kind)
-        _burst(sim, 10)
-        sim.run()
-        stats = sim.perf_stats()
-        assert stats["scheduler"] == kind
-        assert isinstance(stats["scheduler_stats"], dict)
-        assert stats["batches_executed"] >= 1
-        assert stats["events_per_batch"] >= 1.0
+    sim = Simulator()
+    _burst(sim, 10)
+    sim.run()
+    stats = sim.perf_stats()
+    assert stats["scheduler"] == "heap"
+    assert stats["batches_executed"] == 10      # one per distinct instant
+    assert stats["events_per_batch"] == 1.0
 
 
-def test_calendar_batches_same_time_floods():
-    sim = Simulator(scheduler="calendar")
+def test_same_time_flood_is_one_batch():
+    sim = Simulator()
     hit = [0]
     for _ in range(100):                  # one timestamp, one batch
         sim.schedule(1e-6, lambda: hit.__setitem__(0, hit[0] + 1))
@@ -46,7 +42,17 @@ def test_calendar_batches_same_time_floods():
     stats = sim.perf_stats()
     assert hit[0] == 100
     assert stats["batches_executed"] == 1
-    assert stats["scheduler_stats"]["max_batch"] == 100
+    assert stats["events_per_batch"] == 100.0
+
+
+def test_in_place_wakes_are_not_events():
+    sim = Simulator()
+    woken = []
+    sim.timeout(1.0).add_done_callback(lambda evt: woken.append(sim.now))
+    sim.run()
+    assert woken == [1.0]
+    # the timeout fire is the only queue dispatch
+    assert sim.perf_stats()["events_executed"] == 1
 
 
 def test_perf_stats_accumulate_across_runs():
@@ -90,7 +96,7 @@ def test_record_engine_metrics_feeds_registry():
     snap = registry.snapshot()
     assert snap["engine.events"]["value"] == 5
     assert snap["engine.queue_peak"]["value"] == 5
-    assert snap["engine.heap_peak"]["value"] == 5    # legacy alias
+    assert "engine.heap_peak" not in snap
     assert snap["process.peak_rss_kib"]["value"] == stats["peak_rss_kib"]
     assert stats["peak_rss_kib"] > 0
     text = format_engine_stats(stats)

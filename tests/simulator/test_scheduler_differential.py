@@ -1,13 +1,16 @@
-"""Differential harness: the calendar queue must be *exactly* the heap.
+"""Differential harness: the shipped event queue must be *exactly* one heap.
 
-The calendar scheduler is only allowed as the default because its
-dispatch order is bit-identical to the reference binary heap.  This
-module enforces that end to end, at three zoom levels:
+The engine's ready lane and in-place wake (see
+:mod:`repro.simulator.engine`) are only allowed because dispatch order
+stays bit-identical to a single binary heap that queues every wake-up.
+This module enforces that end to end, with the ``heap`` reference and
+the shipped ``lane`` mode of :mod:`tests.simulator.conftest`, at three
+zoom levels:
 
 * every experiment module pinned by a golden (``tests/goldens/*.json``)
-  produces byte-identical canonical JSON under both schedulers, run
-  through the real campaign machinery with the result cache disabled
-  (a cache hit would silently compare a result against itself);
+  produces byte-identical canonical JSON under both, run through the
+  real campaign machinery with the result cache disabled (a cache hit
+  would silently compare a result against itself);
 * a subset of fig8's NAS points (the heaviest golden, covered in
   points mode like the golden itself) round-trips identically;
 * both stack presets run a traced ping-pong to identical
@@ -30,9 +33,10 @@ from repro import config
 from repro.campaign import canonical_json, execute_point, run_campaign
 from repro.campaign.cache import _as_plain
 from repro.faults.determinism import fresh_id_space
-from repro.runtime import run_mpi
-from repro.simulator import SCHEDULER_KINDS, Trace
+from repro.runtime import MPIRuntime
+from repro.simulator import Trace
 from repro.workloads.netpipe import pingpong
+from tests.simulator.conftest import SCHEDULERS, use_scheduler
 
 GOLDEN_DIR = Path(__file__).parents[1] / "goldens"
 
@@ -47,26 +51,19 @@ _MERGED_MODULES = sorted(
 _FIG8_POINT_KEYS = ["8/MPICH2-NMad_NO_PIOMan/cg",
                     "16/MPICH2-NMad_with_PIOMan/ft"]
 
-assert set(SCHEDULER_KINDS) == {"heap", "calendar"}, \
-    "new scheduler kinds must be added to this differential harness"
 
-
-def _campaign_result(module: str, kind: str, monkeypatch) -> str:
-    from repro.simulator.schedulers import SCHEDULER_ENV
-
-    monkeypatch.setenv(SCHEDULER_ENV, kind)
-    fresh_id_space()     # frame/pw/rdv ids are process-global counters
-    report = run_campaign(modules=[module], fast=True, cache=None)
+def _campaign_result(module: str, kind: str) -> str:
+    with use_scheduler(kind):
+        fresh_id_space()     # frame/pw/rdv ids are process-global counters
+        report = run_campaign(modules=[module], fast=True, cache=None)
     return canonical_json(_as_plain(report.modules[module]))
 
 
 @pytest.mark.parametrize("module", _MERGED_MODULES)
-def test_golden_module_bit_identical_across_schedulers(
-        module: str, monkeypatch) -> None:
-    heap = _campaign_result(module, "heap", monkeypatch)
-    calendar = _campaign_result(module, "calendar", monkeypatch)
-    assert heap == calendar, (
-        f"module {module} diverges between schedulers")
+def test_golden_module_bit_identical_across_schedulers(module: str) -> None:
+    heap = _campaign_result(module, "heap")
+    lane = _campaign_result(module, "lane")
+    assert heap == lane, f"module {module} diverges between schedulers"
 
 
 def _fig8_points() -> List[Any]:
@@ -78,17 +75,15 @@ def _fig8_points() -> List[Any]:
     return points
 
 
-def test_fig8_points_bit_identical_across_schedulers(monkeypatch) -> None:
-    from repro.simulator.schedulers import SCHEDULER_ENV
-
+def test_fig8_points_bit_identical_across_schedulers() -> None:
     results: Dict[str, Dict[str, str]] = {}
-    for kind in sorted(SCHEDULER_KINDS):
-        monkeypatch.setenv(SCHEDULER_ENV, kind)
-        fresh_id_space()
-        results[kind] = {p.key: canonical_json(_as_plain(
-                             execute_point(p.config())))
-                         for p in _fig8_points()}
-    assert results["heap"] == results["calendar"]
+    for kind in SCHEDULERS:
+        with use_scheduler(kind):
+            fresh_id_space()
+            results[kind] = {p.key: canonical_json(_as_plain(
+                                 execute_point(p.config())))
+                             for p in _fig8_points()}
+    assert results["heap"] == results["lane"]
 
 
 _PRESETS = {
@@ -98,26 +93,29 @@ _PRESETS = {
 
 
 def _traced_pingpong(preset: str, kind: str):
-    fresh_id_space()
-    trace = Trace()
-    result = run_mpi(pingpong(16384, reps=4, warmup=1), 2,
-                     _PRESETS[preset](), cluster=config.xeon_pair(),
-                     trace=trace, scheduler=kind)
-    return result, trace
+    with use_scheduler(kind):
+        fresh_id_space()
+        trace = Trace()
+        runtime = MPIRuntime(2, _PRESETS[preset](),
+                             cluster=config.xeon_pair(), trace=trace)
+        result = runtime.run(pingpong(16384, reps=4, warmup=1))
+    return result, trace, runtime.sim.events_executed
 
 
 @pytest.mark.parametrize("preset", sorted(_PRESETS))
 def test_preset_trace_streams_identical(preset: str) -> None:
-    heap_result, heap_trace = _traced_pingpong(preset, "heap")
-    cal_result, cal_trace = _traced_pingpong(preset, "calendar")
+    heap_result, heap_trace, heap_events = _traced_pingpong(preset, "heap")
+    lane_result, lane_trace, lane_events = _traced_pingpong(preset, "lane")
 
-    assert heap_result.elapsed == cal_result.elapsed
-    assert heap_result.sim_time == cal_result.sim_time
-    assert heap_result.rank_times == cal_result.rank_times
-    assert heap_result.rank_results == cal_result.rank_results
+    assert heap_result.elapsed == lane_result.elapsed
+    assert heap_result.sim_time == lane_result.sim_time
+    assert heap_result.rank_times == lane_result.rank_times
+    assert heap_result.rank_results == lane_result.rank_results
+    # the lane mode really took its shortcuts: fewer queue dispatches
+    assert lane_events < heap_events
 
-    div = heap_trace.first_divergence(cal_trace)
+    div = heap_trace.first_divergence(lane_trace)
     assert div is None, (
         f"{preset}: trace diverges at record {div}: "
         f"heap={list(heap_trace)[div:div + 1]} "
-        f"calendar={list(cal_trace)[div:div + 1]}")
+        f"lane={list(lane_trace)[div:div + 1]}")

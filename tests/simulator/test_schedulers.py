@@ -1,278 +1,270 @@
-"""Unit tests for the pluggable event-queue schedulers.
+"""Unit tests for the engine's event queue, in both dispatch modes.
 
-The contract under test (see ``repro/simulator/schedulers.py``): any
-scheduler must hand back entries in exactly the ``(time, seq)`` total
-order a binary heap would, with ``pop_batch`` carving that order into
-maximal equal-time runs.  The calendar queue's adaptive machinery
-(bucket resizes, the pending buffer, live appends to an open batch)
-must all be invisible in the output order.
+The contract under test (see :mod:`repro.simulator.engine`): whatever
+route an entry takes — a cancellable handle, a slim ``_post`` entry on
+the heap or on the zero-delay ready lane, a wake-up run in place — the
+engine dispatches in exactly the ``(time, seq)`` total order one binary
+heap would, one simulated instant at a time.  Every test runs under the
+``heap`` reference and the shipped ``lane`` mode (the ``scheduler``
+fixture of :mod:`tests.simulator.conftest`).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from heapq import heappop, heappush
 
 import pytest
 
-from repro.simulator.schedulers import (
-    SCHEDULER_ENV,
-    SCHEDULER_KINDS,
-    CalendarScheduler,
-    HeapScheduler,
-    make_scheduler,
-)
+from repro.simulator import Simulator
+from repro.simulator.engine import _COMPACT_MIN_CANCELLED
 
 
-def _entries(times):
-    """Build engine-shaped entries with seqs in push order."""
-    return [(t, seq, "h") for seq, t in enumerate(times)]
+class _Boom(Exception):
+    pass
 
 
-def _drain_pops(sched):
-    out = []
-    while True:
-        entry = sched.pop()
-        if entry is None:
-            return out
-        out.append(entry)
+def _push(sim, route, time, fn, *args):
+    """Queue ``fn(*args)`` at absolute ``time`` through ``route``."""
+    if route == "at":
+        return sim.at(time, fn, *args)
+    if route == "schedule":
+        return sim.schedule(time - sim.now, fn, *args)
+    if route == "post":
+        sim._post(time - sim.now, fn, *args)
+    else:
+        sim._post_at(time, fn, *args)
+    return None
 
 
-def _drain_batches(sched):
-    out = []
-    while True:
-        batch = sched.pop_batch()
-        if batch is None:
-            return out
-        sched.end_batch(batch, len(batch))
-        out.append(list(batch))
-    return out
+_ROUTES = ("at", "schedule", "post", "post_at")
 
 
-@pytest.fixture(params=sorted(SCHEDULER_KINDS))
-def sched(request):
-    return SCHEDULER_KINDS[request.param]()
+def test_pop_yields_sorted_order(scheduler) -> None:
+    rng = random.Random(7)
+    sim = Simulator()
+    seen = []
+    times = [rng.choice([0.0, 1e-9, 2e-9, 1e-6, 1e-6, 0.5, 1.0])
+             for _ in range(300)]
+    for i, time in enumerate(times):
+        _push(sim, rng.choice(_ROUTES), time,
+              lambda i=i: seen.append((sim.now, i)))
+    sim.run()
+    # (time, insertion order): seq breaks every tie FIFO
+    assert seen == sorted((t, i) for i, t in enumerate(times))
 
 
-# -- factory -----------------------------------------------------------
-def test_make_scheduler_defaults_to_calendar(monkeypatch) -> None:
-    monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-    assert isinstance(make_scheduler(None), CalendarScheduler)
+def test_pop_batch_is_maximal_equal_time_runs(scheduler) -> None:
+    sim = Simulator()
+    seen = []
+    times = [3.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0]
+
+    def fire(i):
+        seen.append(sim.now)
+        sim._post(0.0, seen.append, sim.now)    # joins the open instant
+    for i, time in enumerate(times):
+        sim.schedule(time, fire, i)
+    sim.run()
+    # each instant is dispatched as one contiguous run, follow-ups included
+    assert seen == sorted(seen)
+    stats = sim.perf_stats()
+    assert stats["batches_executed"] == len(set(times))
+    assert stats["events_executed"] == 2 * len(times)
+    assert stats["events_per_batch"] == 2 * len(times) / len(set(times))
 
 
-def test_make_scheduler_honours_env(monkeypatch) -> None:
-    monkeypatch.setenv(SCHEDULER_ENV, "heap")
-    assert isinstance(make_scheduler(None), HeapScheduler)
-    monkeypatch.setenv(SCHEDULER_ENV, "")
-    assert isinstance(make_scheduler(None), CalendarScheduler)
+def test_random_interleaving_matches_heap(scheduler) -> None:
+    """Callbacks push, cancel and repost from inside the running loop."""
+    rng = random.Random(11)
+    delays = [0.0, 0.0, 1e-9, 1e-6, 0.25]
+    script = [(rng.choice(_ROUTES), rng.choice(delays), rng.randrange(4),
+               rng.random() < 0.2) for _ in range(400)]
+
+    # the reference: a plain heap of [time, seq, index, cancelled]
+    ref_heap, ref_seen, ref_handles = [], [], []
+    state = {"seq": 0, "now": 0.0, "next": 0}
+
+    def ref_push(time, index):
+        state["seq"] += 1
+        entry = [time, state["seq"], index, False]
+        heappush(ref_heap, entry)
+        return entry
+
+    def ref_fire(index):
+        ref_seen.append((state["now"], index))
+        for _ in range(script[index][2]):
+            if state["next"] >= len(script):
+                return
+            child = state["next"]
+            state["next"] += 1
+            route, delay, _, cancel = script[child]
+            entry = ref_push(state["now"] + delay, child)
+            if route in ("at", "schedule"):
+                ref_handles.append(entry)
+            if cancel and ref_handles:
+                ref_handles[child % len(ref_handles)][3] = True
+
+    # the engine under test
+    sim = Simulator()
+    seen, handles = [], []
+    nxt = {"next": 0}
+
+    def fire(index):
+        seen.append((sim.now, index))
+        for _ in range(script[index][2]):
+            if nxt["next"] >= len(script):
+                return
+            child = nxt["next"]
+            nxt["next"] += 1
+            route, delay, _, cancel = script[child]
+            handle = _push(sim, route, sim.now + delay, fire, child)
+            if handle is not None:
+                handles.append(handle)
+            if cancel and handles:
+                handles[child % len(handles)].cancel()
+
+    roots = 8
+    state["next"] = nxt["next"] = roots
+    for i in range(roots):
+        ref_push(script[i][1], i)
+        sim._post(script[i][1], fire, i)
+    while ref_heap:
+        time, _, index, cancelled = heappop(ref_heap)
+        if not cancelled:
+            state["now"] = time
+            ref_fire(index)
+    sim.run()
+    assert len(seen) > roots
+    assert seen == ref_seen
 
 
-def test_make_scheduler_name_and_passthrough() -> None:
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    inst = CalendarScheduler()
-    assert make_scheduler(inst) is inst
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("splay")
+def test_remove_if_drops_matches_everywhere(scheduler) -> None:
+    """Cancelled handles vanish at the open instant and in the future."""
+    sim = Simulator()
+    fired = []
+    future = [sim.schedule(5.0 + (i % 3), fired.append, ("f", i))
+              for i in range(3 * _COMPACT_MIN_CANCELLED)]
+    now_handles = []
+
+    def opener():
+        # queued at the open instant, then most of everything is dropped
+        for i in range(_COMPACT_MIN_CANCELLED):
+            now_handles.append(sim.at(sim.now, fired.append, ("n", i)))
+        for i, handle in enumerate(future + now_handles):
+            if i % 4:
+                handle.cancel()
+        assert sim._cancelled < _COMPACT_MIN_CANCELLED   # compacted
+    sim.schedule(1.0, opener)
+    sim.run()
+    everything = future + now_handles
+    kept = [h for i, h in enumerate(everything) if i % 4 == 0]
+    assert len(fired) == len(kept)
+    assert not any(h.cancelled for h in kept)
+    assert [tag for tag in fired if tag[0] == "n"] == \
+        [("n", i) for i in range(_COMPACT_MIN_CANCELLED)
+         if (len(future) + i) % 4 == 0]
+    assert sim._cancelled == 0 and not sim._heap and not sim._ready
 
 
-def test_calendar_rejects_nonpositive_width() -> None:
-    with pytest.raises(ValueError):
-        CalendarScheduler(width=0.0)
+def test_end_batch_requeues_undispatched_tail(scheduler) -> None:
+    sim = Simulator()
+    seen = []
+
+    def boom():
+        seen.append("boom")
+        sim._post(0.0, seen.append, "posted-by-boom")
+        raise _Boom()
+
+    sim.schedule(1.0, seen.append, "a")
+    sim._post(1.0, boom)
+    sim.schedule(1.0, seen.append, "c")
+    sim._post(1.0, seen.append, "d")
+    sim.schedule(2.0, seen.append, "later")
+    with pytest.raises(_Boom):
+        sim.run()
+    assert seen == ["a", "boom"] and sim.now == 1.0
+    sim.run()
+    assert seen == ["a", "boom", "c", "d", "posted-by-boom", "later"]
+    assert sim.events_executed == 6
 
 
-# -- total order -------------------------------------------------------
-def test_pop_yields_sorted_order(sched) -> None:
-    times = [5e-6, 1e-6, 1e-6, 3e-6, 0.0, 5e-6, 2.5e-6]
-    entries = _entries(times)
-    for entry in entries:
-        sched.push(entry)
-    assert len(sched) == len(entries)
-    assert _drain_pops(sched) == sorted(entries)
-    assert len(sched) == 0
-    assert sched.pop() is None
-    assert sched.peek_time() is None
+def test_peek_then_push_below_head_spills(scheduler) -> None:
+    sim = Simulator()
+    seen = []
+    sim.schedule(5.0, seen.append, "head")
+    assert sim.run(until=2.0) == 2.0            # peeked 5.0, stopped short
+    sim.at(3.0, seen.append, "below-head")
+    sim._post(0.5, seen.append, "slim-below")
+    sim._post(0.0, seen.append, "now")
+    sim.run()
+    assert seen == ["now", "slim-below", "below-head", "head"]
+    assert sim.now == 5.0
 
 
-def test_pop_batch_is_maximal_equal_time_runs(sched) -> None:
-    times = [2.0, 1.0, 1.0, 3.0, 1.0, 2.0]
-    for entry in _entries(times):
-        sched.push(entry)
-    batches = _drain_batches(sched)
-    assert [[e[0] for e in b] for b in batches] == \
-        [[1.0, 1.0, 1.0], [2.0, 2.0], [3.0]]
-    # within a batch, seq (push) order
-    assert [e[1] for e in batches[0]] == [1, 2, 4]
+def test_push_at_open_batch_time_dispatches_before_later_times(
+        scheduler) -> None:
+    sim = Simulator()
+    seen = []
+
+    def opener():
+        seen.append("opener")
+        sim._post(0.0, seen.append, "post-0")
+        sim.at(sim.now, seen.append, "at-now")
+        sim.schedule(0.0, seen.append, "schedule-0")
+        sim._post(1e-17, seen.append, "underflow")   # 1.0 + 1e-17 == 1.0
+        sim._post_at(sim.now, seen.append, "post-at-now")
+
+    sim.schedule(1.0, opener)
+    sim.schedule(1.0, seen.append, "queued-before")
+    sim.schedule(1.0 + 1e-9, seen.append, "later")
+    sim.run()
+    assert seen == ["opener", "queued-before", "post-0", "at-now",
+                    "schedule-0", "underflow", "post-at-now", "later"]
 
 
-def test_random_interleaving_matches_heap(sched) -> None:
-    rng = random.Random(42)
-    seq = itertools.count()
-    reference = HeapScheduler()
-    popped, ref_popped = [], []
-    for _ in range(2000):
-        action = rng.random()
-        if action < 0.6 or len(sched) == 0:
-            t = rng.choice([0.0, 1e-9, 5e-9, 1e-6, 2.5e-4, 1.0]) * \
-                rng.randint(1, 20)
-            entry = (t, next(seq), "h")
-            sched.push(entry)
-            reference.push(entry)
-        elif action < 0.85:
-            popped.append(sched.pop())
-            ref_popped.append(reference.pop())
-        else:
-            batch = sched.pop_batch()
-            ref = reference.pop_batch()
-            assert (batch is None) == (ref is None)
-            if batch is not None:
-                sched.end_batch(batch, len(batch))
-                reference.end_batch(ref, len(ref))
-                popped.extend(batch)
-                ref_popped.extend(ref)
-        assert len(sched) == len(reference)
-    popped.extend(_drain_pops(sched))
-    ref_popped.extend(_drain_pops(reference))
-    assert popped == ref_popped
+def test_push_at_other_time_during_open_batch(scheduler) -> None:
+    sim = Simulator()
+    seen = []
+
+    def opener():
+        seen.append(("opener", sim.now))
+        sim.at(1.5, lambda: seen.append(("between", sim.now)))
+        sim._post(2.0, lambda: seen.append(("after", sim.now)))
+
+    sim.schedule(1.0, opener)
+    sim.schedule(1.0, lambda: seen.append(("same", sim.now)))
+    sim.schedule(2.0, lambda: seen.append(("queued", sim.now)))
+    sim.run()
+    assert seen == [("opener", 1.0), ("same", 1.0), ("between", 1.5),
+                    ("queued", 2.0), ("after", 3.0)]
 
 
-# -- open-batch live append -------------------------------------------
-def test_push_at_open_batch_time_dispatches_before_later_times(sched) -> None:
-    """A same-time push during an open batch runs before any later time.
+def test_mixed_pop_and_pop_batch(scheduler) -> None:
+    """Single steps, bounded runs and full runs interleave to one order."""
+    def build():
+        sim = Simulator()
+        seen = []
 
-    The calendar appends it to the draining list in place; the heap
-    serves it as the immediately following batch.  Either way the
-    dispatch order (what the engine executes) is identical.
-    """
-    for entry in _entries([1.0, 1.0, 2.0]):
-        sched.push(entry)
-    order = []
-    batch = sched.pop_batch()
-    done = 0
-    while done < len(batch):                     # the engine's drain shape
-        entry = batch[done]
-        done += 1
-        order.append(entry[1])
-        if entry[1] == 1:
-            sched.push((1.0, 99, "late"))
-    sched.end_batch(batch, done)
-    for later in _drain_batches(sched):
-        order.extend(e[1] for e in later)
-    assert order == [0, 1, 99, 2]
+        def prog(tag, delays):
+            for delay in delays:
+                yield sim.timeout(delay)
+                seen.append((tag, sim.now))
+                sim._post(0.0, seen.append, (tag, "lane", sim.now))
 
+        for i, delays in enumerate([[1.0, 0.0, 1.0], [0.5, 0.5, 0.0],
+                                    [1.0, 1.0], [0.0, 2.0]]):
+            sim.spawn(prog(f"t{i}", delays))
+        return sim, seen
 
-def test_calendar_live_append_lands_in_the_open_batch() -> None:
-    cal = CalendarScheduler()
-    for entry in _entries([1.0, 1.0, 2.0]):
-        cal.push(entry)
-    batch = cal.pop_batch()
-    assert [e[1] for e in batch] == [0, 1]
-    cal.push((1.0, 99, "late"))
-    assert [e[1] for e in batch] == [0, 1, 99]   # appended in place
-    cal.end_batch(batch, len(batch))
-    assert _drain_pops(cal) == [(2.0, 2, "h")]
+    sim, expected = build()
+    sim.run()
 
-
-def test_push_at_other_time_during_open_batch(sched) -> None:
-    for entry in _entries([1.0, 3.0]):
-        sched.push(entry)
-    batch = sched.pop_batch()
-    sched.push((2.0, 10, "mid"))
-    assert len(batch) == 1                       # did not join
-    sched.end_batch(batch, len(batch))
-    assert [e[0] for e in _drain_pops(sched)] == [2.0, 3.0]
-
-
-def test_end_batch_requeues_undispatched_tail(sched) -> None:
-    for entry in _entries([1.0, 1.0, 1.0]):
-        sched.push(entry)
-    batch = sched.pop_batch()
-    assert len(sched) == 0
-    sched.end_batch(batch, 1)                    # crashed after one entry
-    assert len(sched) == 2
-    assert [e[1] for e in _drain_pops(sched)] == [1, 2]
-
-
-# -- pending buffer / mixed access ------------------------------------
-def test_peek_then_push_below_head_spills(sched) -> None:
-    for entry in _entries([2.0, 3.0]):
-        sched.push(entry)
-    assert sched.peek_time() == pytest.approx(2.0)
-    sched.push((1.0, 50, "early"))               # below the buffered head
-    assert sched.peek_time() == pytest.approx(1.0)
-    assert [e[0] for e in _drain_pops(sched)] == [1.0, 2.0, 3.0]
-
-
-def test_mixed_pop_and_pop_batch(sched) -> None:
-    for entry in _entries([1.0, 1.0, 2.0, 2.0]):
-        sched.push(entry)
-    assert sched.pop()[1] == 0                   # half a batch, entry-wise
-    batch = sched.pop_batch()                    # rest of the t=1 run
-    assert [e[1] for e in batch] == [1]
-    sched.end_batch(batch, len(batch))
-    assert [e[1] for e in _drain_pops(sched)] == [2, 3]
-
-
-# -- remove_if ---------------------------------------------------------
-def test_remove_if_drops_matches_everywhere(sched) -> None:
-    entries = _entries([1.0, 1.0, 2.0, 3.0, 3.0, 4.0])
-    for entry in entries:
-        sched.push(entry)
-    sched.peek_time()                            # pull a run into any buffer
-    removed = sched.remove_if(lambda e: e[1] % 2 == 0)
-    assert removed == 3
-    assert len(sched) == 3
-    assert [e[1] for e in _drain_pops(sched)] == [1, 3, 5]
-
-
-def test_entries_exposes_queued_items(sched) -> None:
-    pushed = _entries([3.0, 1.0, 2.0])
-    for entry in pushed:
-        sched.push(entry)
-    assert sorted(sched.entries()) == sorted(pushed)
-
-
-# -- calendar adaptation ----------------------------------------------
-def test_calendar_shrinks_on_an_oversized_bucket() -> None:
-    cal = CalendarScheduler(width=1.0)           # everything in one bucket
-    times = [i * 1e-4 for i in range(2000)]
-    entries = _entries(times)
-    for entry in entries:
-        cal.push(entry)
-    assert _drain_pops(cal) == sorted(entries)
-    stats = cal.stats()
-    assert stats["resizes"] >= 1
-    assert cal._width < 1.0
-
-
-def test_calendar_widens_when_sparse() -> None:
-    cal = CalendarScheduler(width=1e-9)          # every entry alone
-    seq = itertools.count()
-    for _ in range(3):                           # cross the widen check
-        for i in range(4096):
-            cal.push((i * 1e-3, next(seq), "h"))
-        drained = _drain_pops(cal)
-        assert drained == sorted(drained)
-    assert cal.stats()["resizes"] >= 1
-    assert cal._width > 1e-9
-
-
-def test_calendar_same_time_flood_never_resizes() -> None:
-    cal = CalendarScheduler(width=1.0)
-    for entry in _entries([0.5] * 4096):
-        cal.push(entry)
-    batch = cal.pop_batch()
-    assert len(batch) == 4096
-    cal.end_batch(batch, len(batch))
-    assert cal.stats()["resizes"] == 0           # zero span: no shrink
-    assert len(cal) == 0
-
-
-def test_calendar_stats_counters() -> None:
-    cal = CalendarScheduler()
-    for entry in _entries([1.0, 1.0, 2.0]):
-        cal.push(entry)
-    _drain_batches(cal)
-    stats = cal.stats()
-    assert stats["batches"] == 2
-    assert stats["max_batch"] == 2
-    assert stats["width"] > 0
+    sim, seen = build()
+    for _ in range(3):
+        assert sim.step()
+    sim.run(until=1.0)
+    assert sim.step()
+    sim.run(until=sim.now + 0.5)
+    sim.run()
+    assert not sim.step()
+    assert seen == expected
